@@ -580,44 +580,69 @@ let plan_q t ~n ~k ~delta =
   in
   go n k delta [] 0
 
+(* [plan_q] unrolled straight into completion offsets, front to back,
+   without the intermediate list of quanta. *)
+let[@tail_mod_cons] rec offsets_from t n k delta base =
+  if k = 0 then []
+  else begin
+    let ib = Tables.I.get (if delta then t.ib1 else t.ib0) k n in
+    if ib = 0 then []
+    else begin
+      let q = base + ib in
+      (float_of_int q *. t.u) :: offsets_from t (n - ib) (k - 1) false q
+    end
+  end
+
+let plan_offsets t ~n ~k ~delta =
+  check_state t ~n ~k;
+  offsets_from t n k delta 0
+
+(* Checkpoints of [offsets] completed within [elapsed]. *)
+let rec count_completed ~elapsed acc = function
+  | [] -> acc
+  | o :: rest ->
+      count_completed ~elapsed (if o <= elapsed +. 1e-9 then acc + 1 else acc) rest
+
+(* The last plan drawn in the current reservation. *)
+type last_plan = {
+  mutable drawn : bool;
+  mutable at_tleft : float;
+  mutable offsets : float list;
+  mutable k : int;  (** checkpoints the plan was drawn for *)
+}
+
 let policy t =
   (* Per-reservation state to recover k_remaining after a failure: the
      recursion of Equation (8) re-plans with at most as many checkpoints
      as were still outstanding when the failure struck. *)
-  let last : (float * float list * int) option ref = ref None in
-  let to_offsets quanta = List.map (fun q -> float_of_int q *. t.u) quanta in
+  let last = { drawn = false; at_tleft = 0.0; offsets = []; k = 0 } in
+  let remember ~tleft offsets k =
+    last.drawn <- true;
+    last.at_tleft <- tleft;
+    last.offsets <- offsets;
+    last.k <- k;
+    offsets
+  in
   let plan ~tleft ~recovering =
     let n = clamp_n t tleft in
     if n = 0 then []
     else if not recovering then begin
       let k = t.bestk0.(n) in
       if k = 0 then []
-      else begin
-        let offsets = to_offsets (plan_q t ~n ~k ~delta:false) in
-        last := Some (tleft, offsets, k);
-        offsets
-      end
+      else remember ~tleft (plan_offsets t ~n ~k ~delta:false) k
     end
     else begin
       let k_cap =
-        match !last with
-        | None -> t.kmax
-        | Some (prev_tleft, offsets, k_prev) ->
-            let elapsed =
-              prev_tleft -. tleft -. t.params.Fault.Params.d
-            in
-            let completed =
-              List.length (List.filter (fun o -> o <= elapsed +. 1e-9) offsets)
-            in
-            max 1 (k_prev - completed)
+        if not last.drawn then t.kmax
+        else begin
+          let elapsed =
+            last.at_tleft -. tleft -. t.params.Fault.Params.d
+          in
+          max 1 (last.k - count_completed ~elapsed 0 last.offsets)
+        end
       in
       let m = Tables.I.get t.argm1 (min k_cap t.kmax) n in
-      if m = 0 then []
-      else begin
-        let offsets = to_offsets (plan_q t ~n ~k:m ~delta:true) in
-        last := Some (tleft, offsets, m);
-        offsets
-      end
+      if m = 0 then [] else remember ~tleft (plan_offsets t ~n ~k:m ~delta:true) m
     end
   in
   Sim.Policy.make ~name:"DynamicProgramming" plan

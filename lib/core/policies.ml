@@ -20,8 +20,7 @@ let of_threshold_table ~name ~params table =
     if span < params.Fault.Params.c then []
     else begin
       let count = Threshold.segments_for table ~tleft:span in
-      (Sim.Policy.equal_segments ~params ~count).Sim.Policy.plan ~tleft
-        ~recovering
+      Sim.Policy.equal_plan ~params ~tleft ~recovering ~count
     end
   in
   Sim.Policy.make ~name plan

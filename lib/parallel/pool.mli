@@ -18,10 +18,13 @@
 type t
 
 val create : ?domains:int -> unit -> t
-(** [create ~domains ()] spawns [domains - 1] worker domains (the caller
-    participates as the last worker during {!map}). Default:
-    [Domain.recommended_domain_count ()], capped to 8. [domains = 1]
-    degrades to sequential execution. *)
+(** [create ~domains ()] records the parallelism degree and spawns
+    nothing. Each {!map} (and every other mapping call) spawns up to
+    [domains - 1] helper domains for its own tasks, works alongside them
+    as the last worker, and joins them before it returns, so no domain
+    outlives the call. Default: [Domain.recommended_domain_count ()],
+    capped to 8. [domains = 1] degrades to sequential execution with no
+    domain ever spawned. *)
 
 val domains : t -> int
 
@@ -52,8 +55,9 @@ val parallel_for : t -> lo:int -> hi:int -> f:(int -> unit) -> unit
 (** [parallel_for pool ~lo ~hi ~f] runs [f i] for [lo <= i < hi]. *)
 
 val shutdown : t -> unit
-(** Joins the worker domains. The pool must not be used afterwards.
-    Idempotent. *)
+(** Marks the pool closed; there are no domains left to join, because
+    every mapping call joined its own. A later mapping call with work
+    to do raises [Invalid_argument]. Idempotent. *)
 
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** Scoped creation: shuts the pool down on exit, including on

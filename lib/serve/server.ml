@@ -262,7 +262,9 @@ let answer_round t ready =
       | resps -> (
           (* The whole round's replies to this connection go out in one
              write — with batched rounds, the per-reply syscall is the
-             dominant cost this amortizes. *)
+             dominant cost this amortizes. A peer that has reset the
+             connection (EPIPE, ECONNRESET) is closed here like any other
+             failed send. *)
           try
             Wire.send_many c.wire (List.map (encode_response c.wire) resps)
           with Unix.Unix_error _ | Invalid_argument _ -> close_conn t c))

@@ -56,14 +56,18 @@ let write_all fd bytes =
     off := !off + n
   done
 
-(* [false] on EOF. *)
+(* [false] on EOF. A peer that reset the connection — it exited or
+   closed with SO_LINGER 0 while bytes were still in flight — has closed
+   it as surely as one that sent a FIN: ECONNRESET (and EPIPE) reads as
+   end of stream, never as an exception escaping the caller's loop. *)
 let refill conn =
   let n =
     try
       restart_on_eintr (fun () ->
           Unix.read conn.fd conn.buf 0 (Bytes.length conn.buf))
-    with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      raise Stalled
+    with
+    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> raise Stalled
+    | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
   in
   conn.pos <- 0;
   conn.len <- n;
@@ -280,9 +284,14 @@ let server_negotiate conn =
                 let ack = Bytes.create 5 in
                 Bytes.set ack 0 m;
                 Bytes.set_int32_le ack 1 (Int32.of_int granted);
-                write_all conn.fd (Bytes.unsafe_to_string ack);
-                conn.mode <- (if Char.equal m 'B' then Binary else Text);
-                conn.max_frame <- granted;
-                Ok ()
+                match write_all conn.fd (Bytes.unsafe_to_string ack) with
+                | exception
+                    Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+                    (* The peer hung up right after its hello. *)
+                    Error Closed
+                | () ->
+                    conn.mode <- (if Char.equal m 'B' then Binary else Text);
+                    conn.max_frame <- granted;
+                    Ok ()
               end
           | c -> Error (Torn (Printf.sprintf "unknown hello mode byte %C" c))))

@@ -107,7 +107,11 @@ val recv : conn -> (string, error) result
     silent mid-frame for longer than the timeout is reported as [Torn]
     (the server sets one on every accepted socket so a stalled
     connection cannot pin a multiplexing worker). The same conversion
-    applies inside {!client_hello} and {!server_negotiate}. *)
+    applies inside {!client_hello} and {!server_negotiate}.
+
+    A peer that resets the connection ([ECONNRESET], or [EPIPE]) reads
+    as end of stream: [Closed] at a frame boundary, [Torn] inside a
+    frame — never a raised [Unix_error]. *)
 
 val client_hello :
   conn -> mode:mode -> ?max_frame:int -> unit -> (bool, error) result
@@ -125,4 +129,5 @@ val server_negotiate : conn -> (unit, error) result
     defaults stand); otherwise the hello is read, the requested bound
     clamped into [\[min_max_frame, hard_max_frame\]]
     (0 = {!default_max_frame}), the ack written, and the connection
-    switched. Call once, before the first {!recv}. *)
+    switched. A peer that resets the connection before the ack is
+    written is [Closed]. Call once, before the first {!recv}. *)

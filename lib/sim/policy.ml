@@ -16,23 +16,27 @@ let set_on_prediction p f = { p with on_prediction = Some f }
    arithmetic, so exact comparisons would reject valid plans. *)
 let eps = 1e-9
 
+let plan_error fmt = Format.kasprintf invalid_arg fmt
+
+(* One pass over the plan, at top level and with no float argument
+   beyond the plan's own boxed offsets, so that checking a plan at every
+   re-plan allocates nothing. *)
+let rec check_plan ~params ~tleft ~recovering prev = function
+  | [] -> ()
+  | off :: rest ->
+      let c = params.Fault.Params.c and r = params.Fault.Params.r in
+      let base = if recovering then r else 0.0 in
+      if off > tleft +. eps then
+        plan_error "plan: checkpoint completion %g exceeds tleft %g" off tleft;
+      if prev = 0.0 && off < base +. c -. eps then
+        plan_error "plan: first checkpoint %g before base %g + C %g" off base c;
+      if prev > 0.0 && off -. prev < c -. eps then
+        plan_error "plan: segment [%g, %g] shorter than C = %g" prev off c;
+      if off <= prev then plan_error "plan: offsets not increasing at %g" off;
+      check_plan ~params ~tleft ~recovering off rest
+
 let validate_plan ~params ~tleft ~recovering plan =
-  let c = params.Fault.Params.c and r = params.Fault.Params.r in
-  let base = if recovering then r else 0.0 in
-  let fail fmt = Format.kasprintf invalid_arg fmt in
-  let rec check prev = function
-    | [] -> ()
-    | off :: rest ->
-        if off > tleft +. eps then
-          fail "plan: checkpoint completion %g exceeds tleft %g" off tleft;
-        if prev = 0.0 && off < base +. c -. eps then
-          fail "plan: first checkpoint %g before base %g + C %g" off base c;
-        if prev > 0.0 && off -. prev < c -. eps then
-          fail "plan: segment [%g, %g] shorter than C = %g" prev off c;
-        if off <= prev then fail "plan: offsets not increasing at %g" off;
-        check off rest
-  in
-  check 0.0 plan
+  check_plan ~params ~tleft ~recovering 0.0 plan
 
 let no_checkpoint = make ~name:"NoCheckpoint" (fun ~tleft:_ ~recovering:_ -> [])
 
@@ -61,6 +65,10 @@ let single_at ~params ~offset_from_end =
   in
   make ~name:(Printf.sprintf "SingleAt(-%g)" offset_from_end) plan
 
+let[@tail_mod_cons] rec equal_offsets ~base ~seg i n =
+  if i >= n then []
+  else (base +. (float_of_int (i + 1) *. seg)) :: equal_offsets ~base ~seg (i + 1) n
+
 (* [count] equal segments filling [tleft], last checkpoint at the end.
    Shared by [equal_segments] and the threshold policies of lib/core. *)
 let equal_plan ~params ~tleft ~recovering ~count =
@@ -73,7 +81,7 @@ let equal_plan ~params ~tleft ~recovering ~count =
     let n = min count (int_of_float (floor (span /. c))) in
     let n = max n 1 in
     let seg = span /. float_of_int n in
-    List.init n (fun i -> base +. (float_of_int (i + 1) *. seg))
+    equal_offsets ~base ~seg 0 n
   end
 
 let equal_segments ~params ~count =
@@ -99,27 +107,26 @@ let two_checkpoints ~params ~alpha =
   in
   make ~name:(Printf.sprintf "Two(%.3f)" alpha) plan
 
+(* Checkpoints complete every [stride] after [last]; when the remaining
+   stretch cannot hold a further full period, the final checkpoint
+   completes exactly at [tleft]. Built front to back in one pass. *)
+let[@tail_mod_cons] rec periodic_offsets ~tleft ~stride ~c last =
+  let rem = tleft -. last in
+  if rem <= stride +. c then
+    (* Final (possibly short) segment, checkpoint at the end; if even a
+       bare checkpoint does not fit, stop here. *)
+    if rem < c then [] else [ tleft ]
+  else
+    let next = last +. stride in
+    next :: periodic_offsets ~tleft ~stride ~c next
+
 let periodic ~params ~period =
   if period <= 0.0 then invalid_arg "Policy.periodic: period must be positive";
   let c = params.Fault.Params.c and r = params.Fault.Params.r in
   let plan ~tleft ~recovering =
     let base = if recovering then r else 0.0 in
     if tleft -. base < c then []
-    else begin
-      (* Checkpoints complete every [period + c]; when the remaining
-         stretch cannot hold a further full period, the final checkpoint
-         completes exactly at the end of the reservation. *)
-      let stride = period +. c in
-      let rec build acc last =
-        let rem = tleft -. last in
-        if rem <= stride +. c then
-          (* Final (possibly short) segment, checkpoint at the end; if
-             even a bare checkpoint does not fit, stop here. *)
-          if rem < c then List.rev acc else List.rev (tleft :: acc)
-        else build ((last +. stride) :: acc) (last +. stride)
-      in
-      build [] base
-    end
+    else periodic_offsets ~tleft ~stride:(period +. c) ~c base
   in
   make ~name:(Printf.sprintf "Periodic(%g)" period) plan
 

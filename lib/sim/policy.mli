@@ -82,6 +82,15 @@ val equal_segments : params:Fault.Params.t -> count:int -> t
     regardless of [tleft]. Used by the Section 4.3 and Section 5 gain
     analyses. If fewer than [count] checkpoints fit, uses as many as fit. *)
 
+val equal_plan :
+  params:Fault.Params.t -> tleft:float -> recovering:bool -> count:int ->
+  float list
+(** The plan of [equal_segments ~params ~count] for [(tleft, recovering)]:
+    at most [count] equal segments filling the time left after the
+    initial recovery, the last checkpoint completing at [tleft]. Empty
+    when not even one checkpoint fits or [count < 1]. Threshold policies
+    call it on every re-plan without building a policy value. *)
+
 val two_checkpoints : params:Fault.Params.t -> alpha:float -> t
 (** "Strat2(α)" of Section 4.3: first checkpoint completes at
     [alpha * tleft], second at [tleft]. [alpha] is clamped to keep both

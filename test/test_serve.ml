@@ -1,9 +1,11 @@
 (* Tests for the serve daemon's socket-free layers: the wire protocol
    text, the framing over a socketpair, the bounded admission queue, and
    the request handler (answers checked against the DP tables directly,
-   timeout on an injected clock, chaos, kleft capping). The end-to-end
-   daemon drills — crash recovery, shedding under load, SIGTERM drain —
-   live in serve_drill.t. *)
+   timeout on an injected clock, chaos, kleft capping), plus one
+   in-process daemon regression: a client that resets its connection
+   must not take a worker down. The end-to-end daemon drills — crash
+   recovery, shedding under load, SIGTERM drain — live in
+   serve_drill.t. *)
 
 module Protocol = Serve.Protocol
 module Wire = Serve.Wire
@@ -1010,6 +1012,83 @@ let test_handler_batch_shares_table () =
       | Error _ -> ())
     (List.combine reqs replies)
 
+(* In-process daemon *)
+
+let daemon_config ~socket_path =
+  {
+    Serve.Server.socket_path;
+    listen = Some "127.0.0.1:0";
+    workers = 1;
+    queue_capacity = 16;
+    batch = 4;
+    max_conns = None;
+    idle_timeout = None;
+    max_sessions = 16;
+    budget = None;
+    slow = 0.0;
+    journal = None;
+    journal_rotate = None;
+    journal_compact = false;
+    chaos = None;
+    chaos_fs = None;
+    max_tables = None;
+    max_bytes = None;
+    jobs = None;
+    quiet = true;
+  }
+
+let test_daemon_survives_client_reset () =
+  let socket_path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fixedlen-test-reset-%d.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists socket_path then Sys.remove socket_path;
+  (* One worker: if the reset killed it, nobody would answer the second
+     client. *)
+  let handle = Serve.Server.start (daemon_config ~socket_path) in
+  Fun.protect
+    ~finally:(fun () -> Serve.Server.stop handle)
+    (fun () ->
+      let endpoint =
+        match Serve.Server.tcp_port handle with
+        | Some port -> Printf.sprintf "127.0.0.1:%d" port
+        | None -> Alcotest.fail "daemon bound no TCP port"
+      in
+      let binary_client () =
+        let c = Serve.Client.connect ~socket:endpoint in
+        Unix.setsockopt_float (Wire.fd c) Unix.SO_RCVTIMEO 10.0;
+        (match Serve.Client.handshake c ~binary:true with
+        | Ok true -> ()
+        | Ok false -> Alcotest.fail "daemon refused the binary hello"
+        | Error e -> Alcotest.failf "hello failed: %s" e);
+        c
+      in
+      (* The first client pipelines pings and never reads the replies.
+         Once they are waiting in its receive buffer (the daemon is back
+         in select), it closes with SO_LINGER 0: the daemon's next read
+         on that connection fails with ECONNRESET. *)
+      let c1 = binary_client () in
+      let ping = Protocol.request_to_binary Protocol.Ping in
+      Wire.send_many c1 (List.init 64 (fun _ -> ping));
+      (match Unix.select [ Wire.fd c1 ] [] [] 10.0 with
+      | [], _, _ -> Alcotest.fail "no reply to the pipelined pings"
+      | _ -> ());
+      Unix.sleepf 0.2;
+      Unix.setsockopt_optint (Wire.fd c1) Unix.SO_LINGER (Some 0);
+      Unix.close (Wire.fd c1);
+      Unix.sleepf 0.2;
+      let c2 = binary_client () in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c2)
+        (fun () ->
+          match Serve.Client.request c2 Protocol.Ping with
+          | Ok Protocol.Pong -> ()
+          | Ok r ->
+              Alcotest.failf "second client got %s"
+                (Protocol.response_to_string r)
+          | Error e -> Alcotest.failf "second client got no reply: %s" e))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1102,5 +1181,10 @@ let () =
             test_handler_session_requests_need_daemon;
           Alcotest.test_case "batch shares the table" `Quick
             test_handler_batch_shares_table;
+        ] );
+      ( "daemon",
+        [
+          Alcotest.test_case "client reset keeps the worker" `Quick
+            test_daemon_survives_client_reset;
         ] );
     ]
