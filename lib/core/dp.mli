@@ -18,7 +18,6 @@ type t
 
 val build :
   ?kmax:int ->
-  ?jobs:int ->
   params:Fault.Params.t ->
   quantum:float ->
   horizon:float ->
@@ -30,16 +29,10 @@ val build :
     the build and is safe as long as it exceeds the optimal checkpoint
     count (see {!suggested_kmax}).
 
-    [jobs] (default 1) splits the k-dimension of the sweep across that
-    many domains; the n recurrence stays serial. The result is
-    bit-identical to the serial build — every state's additions run in
-    the same order on the same operands, and the [max_{m<=k}] fold
-    keeps the serial strict-greater tie-breaking — so callers may pick
-    [jobs] from the machine, not from the experiment. Speed-up requires
-    that many free cores; oversubscribed runs degrade gracefully (the
-    column barriers block instead of spinning). Raises
-    [Invalid_argument] on a non-positive quantum or horizon, or
-    [jobs < 1]. *)
+    One build runs on the calling domain: sweeps that need many tables
+    build them concurrently, one table per domain (see
+    [Experiments.Strategy.warm_up]). Raises [Invalid_argument] on a
+    non-positive quantum or horizon. *)
 
 val prefix_view : ?kmax:int -> t -> horizon:float -> t
 (** [prefix_view t ~horizon] is the table for a shorter horizon,

@@ -9,7 +9,8 @@
     text by default, binary after a hello negotiation — each answered
     in order by the shared {!Handler}; queries landing in the same
     worker round share one table-cache round trip per distinct
-    (params, horizon, quantum) ({!Handler.handle_batch}).
+    (params, horizon, quantum) ({!Handler.handle_batch}). A missing
+    table is built on the requesting worker's own domain.
 
     Sessions: a [session-open] pins a client's platform in a bounded
     LRU {!Session} table and subsequent [session-query] requests carry
@@ -84,9 +85,6 @@ type config = {
   chaos_fs : Robust.Chaos_fs.t option;
   max_tables : int option;  (** cache LRU bound, tables *)
   max_bytes : int option;  (** cache LRU bound, summed table bytes *)
-  jobs : int option;
-      (** domains per DP table build ({!Experiments.Strategy.Cache}'s
-          [jobs]); [None] defers to [FIXEDLEN_JOBS], else 1 *)
   quiet : bool;  (** suppress the listening/drained lines *)
 }
 

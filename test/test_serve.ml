@@ -1033,7 +1033,6 @@ let daemon_config ~socket_path =
     chaos_fs = None;
     max_tables = None;
     max_bytes = None;
-    jobs = None;
     quiet = true;
   }
 
