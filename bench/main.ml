@@ -429,6 +429,12 @@ let run_dp_json path =
      (Handler.handle_batch). The run enforces the tentpole: batched
      warm throughput at least 2x the sequential unix-text figure.
 
+   Each socket phase lasts milliseconds, short enough for one
+   scheduler hiccup to halve it, so the four socket modes run
+   [serve_repeats] times, interleaved, and every figure reported and
+   gated is the per-mode median; the individual runs are kept in
+   "warm_qps_runs".
+
    The committed bench/BENCH_serve.json trajectory tracks one entry
    per mode across PRs; entries predating the "mode" field are
    handler-mode measurements. *)
@@ -438,6 +444,34 @@ let percentile sorted p =
   sorted.(min (n - 1) (int_of_float (Float.round (p *. float_of_int (n - 1)))))
 
 let serve_platforms = 32
+let serve_repeats = 5
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* The machine a serve entry was measured on, for the "host" field:
+   throughput figures from different hosts are not comparable. *)
+let host_description () =
+  let cpu =
+    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+    | exception Sys_error _ -> "unknown cpu"
+    | text ->
+        List.find_map
+          (fun line ->
+            match String.index_opt line ':' with
+            | Some i when String.trim (String.sub line 0 i) = "model name" ->
+                Some
+                  (String.trim
+                     (String.sub line (i + 1) (String.length line - i - 1)))
+            | _ -> None)
+          (String.split_on_char '\n' text)
+        |> Option.value ~default:"unknown cpu"
+  in
+  Printf.sprintf "nproc %d, OCaml %s, %s"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version cpu
 
 let serve_request i =
   (* 32 distinct platforms: the C sweep spread the paper's figures
@@ -496,6 +530,7 @@ let serve_handler_entry () =
       \    \"mode\": \"handler\",\n\
       \    \"workload\": \"handler queries, %d platforms, T=500, u=1, %d \
        warm rounds\",\n\
+      \    \"host\": %S,\n\
       \    \"cold_queries\": %d,\n\
       \    \"warm_queries\": %d,\n\
       \    \"cold_p50_ms\": %.4f,\n\
@@ -508,7 +543,8 @@ let serve_handler_entry () =
       \    \"table_hits\": %d,\n\
       \    \"peak_rss_kb\": %d\n\
       \  }"
-      serve_platforms warm_rounds serve_platforms (Array.length warm)
+      serve_platforms warm_rounds (host_description ()) serve_platforms
+      (Array.length warm)
       (ms cold_p50) (ms cold_p99) (ms warm_p50) (ms warm_p99) warm_qps
       speedup
       (Experiments.Strategy.Cache.builds cache)
@@ -664,51 +700,71 @@ let run_serve_json path =
         (* Untimed cold pass: build all tables once so every socket
            mode below measures warm serving, like the handler rounds. *)
         ignore (serve_sequential_qps ~socket:socket_path ~binary:false ~rounds:1);
-        [
-          ( "unix-text",
-            serve_sequential_qps ~socket:socket_path ~binary:false ~rounds );
-          ("tcp-text", serve_sequential_qps ~socket:tcp ~binary:false ~rounds);
-          ("tcp-binary", serve_sequential_qps ~socket:tcp ~binary:true ~rounds);
-          ( "tcp-binary-batched",
-            let m = Serve.Server.metrics handle in
-            let r0 = Serve.Metrics.requests m
-            and b0 = Serve.Metrics.batches m in
-            let qps = serve_batched_qps ~socket:tcp ~clients ~flight ~rounds in
-            let dr = Serve.Metrics.requests m - r0
-            and db = Serve.Metrics.batches m - b0 in
-            Printf.printf
-              "serve benchmark: batched phase: %d requests over %d worker \
-               rounds (%.1f per batch)\n"
-              dr db
-              (float_of_int dr /. float_of_int (max 1 db));
-            qps );
-        ])
+        let m = Serve.Server.metrics handle in
+        let batched_requests = ref 0 and batched_rounds = ref 0 in
+        (* One timed run of every socket mode, in this order (a list
+           literal would evaluate its elements right to left). *)
+        let one_pass () =
+          let unix_text =
+            serve_sequential_qps ~socket:socket_path ~binary:false ~rounds
+          in
+          let tcp_text = serve_sequential_qps ~socket:tcp ~binary:false ~rounds in
+          let tcp_binary = serve_sequential_qps ~socket:tcp ~binary:true ~rounds in
+          let r1 = Serve.Metrics.requests m and b1 = Serve.Metrics.batches m in
+          let batched = serve_batched_qps ~socket:tcp ~clients ~flight ~rounds in
+          batched_requests := !batched_requests + Serve.Metrics.requests m - r1;
+          batched_rounds := !batched_rounds + Serve.Metrics.batches m - b1;
+          [
+            ("unix-text", unix_text);
+            ("tcp-text", tcp_text);
+            ("tcp-binary", tcp_binary);
+            ("tcp-binary-batched", batched);
+          ]
+        in
+        let passes = List.init serve_repeats (fun _ -> one_pass ()) in
+        Printf.printf
+          "serve benchmark: batched phases: %d requests over %d worker \
+           rounds (%.1f per batch)\n"
+          !batched_requests !batched_rounds
+          (float_of_int !batched_requests
+          /. float_of_int (max 1 !batched_rounds));
+        List.map
+          (fun (name, _) ->
+            (name, List.map (fun pass -> List.assoc name pass) passes))
+          (List.hd passes))
   in
-  let mode_qps name = List.assoc name modes in
+  let mode_qps name = median (List.assoc name modes) in
   List.iter
-    (fun (name, qps) ->
-      Printf.printf "serve benchmark: %s %.0f warm queries/s\n" name qps)
+    (fun (name, runs) ->
+      Printf.printf "serve benchmark: %s %.0f warm queries/s (median of %s)\n"
+        name (median runs)
+        (String.concat ", " (List.map (Printf.sprintf "%.0f") runs)))
     modes;
+  let host = host_description () in
   let oc = open_out path in
   Printf.fprintf oc "[\n  %s" handler_entry;
   List.iter
-    (fun (name, qps) ->
+    (fun (name, runs) ->
       Printf.fprintf oc
         ",\n\
         \  {\n\
         \    \"mode\": %S,\n\
         \    \"workload\": \"%s queries, %d platforms, T=500, u=1, %d warm \
-         rounds%s\",\n\
+         rounds%s, median of %d runs\",\n\
+        \    \"host\": %S,\n\
         \    \"warm_queries\": %d,\n\
-        \    \"warm_qps\": %.0f\n\
+        \    \"warm_qps\": %.0f,\n\
+        \    \"warm_qps_runs\": [%s]\n\
         \  }"
         name name serve_platforms rounds
         (if String.equal name "tcp-binary-batched" then
            Printf.sprintf ", %d clients, flight %d" clients flight
          else "")
+        serve_repeats host
         (rounds * serve_platforms
         * if String.equal name "tcp-binary-batched" then clients else 1)
-        qps)
+        (median runs)
+        (String.concat ", " (List.map (Printf.sprintf "%.0f") runs)))
     modes;
   Printf.fprintf oc "\n]\n";
   close_out oc;
@@ -720,7 +776,8 @@ let run_serve_json path =
       "SERVE NETWORK REGRESSION: tcp-binary-batched %.0f qps is not 2x the \
        sequential unix-text %.0f qps (only %.1fx)"
       batched unix_text (batched /. unix_text);
-  ("handler", handler_qps) :: modes
+  ("handler", handler_qps)
+  :: List.map (fun (name, runs) -> (name, median runs)) modes
 
 (* ------------------------------------------------------------------ *)
 (* Baseline regression gate (--baseline, --serve-baseline)

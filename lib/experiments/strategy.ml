@@ -41,20 +41,78 @@ module Cache = struct
     | T_optimal opt -> Core.Optimal.bytes opt
     | T_renewal dp -> Core.Dp_renewal.bytes dp
 
-  (* Each slot keeps its structured identity next to the table: the
-     horizon range query below cannot recover (params, horizon, kind)
-     from the rendered string key. *)
-  type slot = {
-    table : table;
-    size : int;
-    s_params : Fault.Params.t;
-    s_horizon : float;
-    s_kind : kind;
-    mutable stamp : int;
-  }
+  (* A cache key is the structured identity of a table. Floats compare
+     by their IEEE bits, so two keys are equal exactly when every float
+     in them is the same double: -0.0 and 0.0 differ, a value computed
+     two ways to the same bits is the same key. *)
+  type key = { params : Fault.Params.t; horizon : float; kind : kind }
+
+  let key ~params ~horizon kind = { params; horizon; kind }
+
+  (* Inlined, so the floats read out of flat records are compared and
+     hashed unboxed. *)
+  let[@inline] same a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+  let same_params (a : Fault.Params.t) (b : Fault.Params.t) =
+    same a.lambda b.lambda && same a.c b.c && same a.r b.r && same a.d b.d
+
+  let same_dist a b =
+    match (a, b) with
+    | Fault.Trace.Exponential a, Fault.Trace.Exponential b -> same a.rate b.rate
+    | Fault.Trace.Weibull a, Fault.Trace.Weibull b ->
+        same a.shape b.shape && same a.scale b.scale
+    | Fault.Trace.Lognormal a, Fault.Trace.Lognormal b ->
+        same a.mu b.mu && same a.sigma b.sigma
+    | _ -> false
+
+  let same_kind a b =
+    match (a, b) with
+    | Threshold_numerical, Threshold_numerical
+    | Threshold_first_order, Threshold_first_order ->
+        true
+    | Dp a, Dp b -> same a.quantum b.quantum
+    | Optimal a, Optimal b -> same a.quantum b.quantum
+    | Renewal a, Renewal b -> same a.quantum b.quantum && same_dist a.dist b.dist
+    | _ -> false
+
+  module Key_table = Hashtbl.Make (struct
+    type t = key
+
+    let equal a b =
+      same a.horizon b.horizon && same_kind a.kind b.kind
+      && same_params a.params b.params
+
+    (* Sum the bits of every float, each folded onto its low half (the
+       low mantissa bits of round values are all zero), plus a tag per
+       constructor, then let the runtime hash scramble the sum. *)
+    let tag h n = (h * 31) + n
+
+    let[@inline] mix h x =
+      let b = Int64.to_int (Int64.bits_of_float x) in
+      tag h (b lxor (b lsr 29))
+
+    let hash_dist h = function
+      | Fault.Trace.Exponential { rate } -> mix (tag h 1) rate
+      | Fault.Trace.Weibull { shape; scale } -> mix (mix (tag h 2) shape) scale
+      | Fault.Trace.Lognormal { mu; sigma } -> mix (mix (tag h 3) mu) sigma
+
+    let hash_kind h = function
+      | Threshold_numerical -> tag h 1
+      | Threshold_first_order -> tag h 2
+      | Dp { quantum } -> mix (tag h 3) quantum
+      | Optimal { quantum } -> mix (tag h 4) quantum
+      | Renewal { quantum; dist } -> hash_dist (mix (tag h 5) quantum) dist
+
+    let hash { params = p; horizon; kind } =
+      let h = mix (mix (mix (mix (mix 0 p.lambda) p.c) p.r) p.d) horizon in
+      Hashtbl.hash (hash_kind h kind)
+  end)
+
+  type slot = { table : table; size : int; mutable stamp : int }
 
   type t = {
-    store : (string, slot) Hashtbl.t;
+    store : slot Key_table.t;
     lock : Mutex.t;
     max_tables : int option;
     max_bytes : int option;
@@ -74,7 +132,7 @@ module Cache = struct
     check "max_tables" max_tables;
     check "max_bytes" max_bytes;
     {
-      store = Hashtbl.create 16;
+      store = Key_table.create 16;
       lock = Mutex.create ();
       max_tables;
       max_bytes;
@@ -85,14 +143,11 @@ module Cache = struct
       resident = 0;
     }
 
-  let locked t f =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
+  let locked t f = Mutex.protect t.lock f
   let builds t = locked t (fun () -> t.builds)
   let hits t = locked t (fun () -> t.hits)
   let evictions t = locked t (fun () -> t.evictions)
-  let resident_tables t = locked t (fun () -> Hashtbl.length t.store)
+  let resident_tables t = locked t (fun () -> Key_table.length t.store)
   let resident_bytes t = locked t (fun () -> t.resident)
 
   type stats = {
@@ -109,63 +164,29 @@ module Cache = struct
           s_builds = t.builds;
           s_hits = t.hits;
           s_evictions = t.evictions;
-          s_resident_tables = Hashtbl.length t.store;
+          s_resident_tables = Key_table.length t.store;
           s_resident_bytes = t.resident;
         })
-
-  let record_hits t n = locked t (fun () -> t.hits <- t.hits + n)
 
   let touch t slot =
     t.tick <- t.tick + 1;
     slot.stamp <- t.tick
 
-  (* Canonical key: every float rendered with %.17g so distinct values
-     can never collide through formatting (same convention as
-     Spec.fingerprint). *)
-  let dist_key = function
-    | Fault.Trace.Exponential { rate } -> Printf.sprintf "exp:%.17g" rate
-    | Fault.Trace.Weibull { shape; scale } ->
-        Printf.sprintf "weibull:%.17g:%.17g" shape scale
-    | Fault.Trace.Lognormal { mu; sigma } ->
-        Printf.sprintf "lognormal:%.17g:%.17g" mu sigma
-
-  let kind_key = function
-    | Threshold_numerical -> "thr-num"
-    | Threshold_first_order -> "thr-fo"
-    | Dp { quantum } -> Printf.sprintf "dp:%.17g" quantum
-    | Optimal { quantum } -> Printf.sprintf "opt:%.17g" quantum
-    | Renewal { quantum; dist } ->
-        Printf.sprintf "renewal:%.17g|%s" quantum (dist_key dist)
-
-  let key ~(params : Fault.Params.t) ~horizon kind =
-    Printf.sprintf "lambda=%.17g,c=%.17g,r=%.17g,d=%.17g|h=%.17g|%s"
-      params.Fault.Params.lambda params.Fault.Params.c params.Fault.Params.r
-      params.Fault.Params.d horizon (kind_key kind)
-
-  let new_slot t ~params ~horizon kind table =
-    let slot =
-      {
-        table;
-        size = table_bytes table;
-        s_params = params;
-        s_horizon = horizon;
-        s_kind = kind;
-        stamp = 0;
-      }
-    in
+  let new_slot t table =
+    let slot = { table; size = table_bytes table; stamp = 0 } in
     touch t slot;
     slot
 
   let over_bound t =
     (match t.max_tables with
-    | Some m -> Hashtbl.length t.store > m
+    | Some m -> Key_table.length t.store > m
     | None -> false)
     ||
     match t.max_bytes with Some m -> t.resident > m | None -> false
 
   let evict_oldest t =
     let victim =
-      Hashtbl.fold
+      Key_table.fold
         (fun k slot acc ->
           match acc with
           | Some (_, best) when best.stamp <= slot.stamp -> acc
@@ -175,7 +196,7 @@ module Cache = struct
     match victim with
     | None -> ()
     | Some (k, slot) ->
-        Hashtbl.remove t.store k;
+        Key_table.remove t.store k;
         t.resident <- t.resident - slot.size;
         t.evictions <- t.evictions + 1
 
@@ -192,34 +213,35 @@ module Cache = struct
      Eviction may drop the parent before the view — the view keeps the
      shared buffers alive through the GC, it only loses them their
      byte charge. *)
-  let materialize_view t ~params ~horizon kind =
-    match kind with
+  let materialize_view t k =
+    match k.kind with
     | Dp _ ->
         let parent =
-          Hashtbl.fold
-            (fun _ slot acc ->
+          Key_table.fold
+            (fun pk slot acc ->
               if
-                slot.s_kind = kind && slot.s_params = params
-                && slot.s_horizon > horizon
+                same_kind pk.kind k.kind
+                && same_params pk.params k.params
+                && pk.horizon > k.horizon
               then
                 match acc with
-                | Some best when best.s_horizon <= slot.s_horizon -> acc
-                | _ -> Some slot
+                | Some (best, _) when best <= pk.horizon -> acc
+                | _ -> Some (pk.horizon, slot)
               else acc)
             t.store None
         in
         (match parent with
-        | Some ({ table = T_dp dp; _ } as pslot) ->
+        | Some (_, ({ table = T_dp dp; _ } as pslot)) ->
             touch t pslot;
             let view =
               Core.Dp.prefix_view
-                ~kmax:(Core.Dp.suggested_kmax ~params ~horizon)
-                dp ~horizon
+                ~kmax:(Core.Dp.suggested_kmax ~params:k.params ~horizon:k.horizon)
+                dp ~horizon:k.horizon
             in
-            let slot = new_slot t ~params ~horizon kind (T_dp view) in
-            Hashtbl.replace t.store (key ~params ~horizon kind) slot;
+            let slot = new_slot t (T_dp view) in
+            Key_table.replace t.store k slot;
             t.resident <- t.resident + slot.size;
-            while over_bound t && Hashtbl.length t.store > 1 do
+            while over_bound t && Key_table.length t.store > 1 do
               evict_oldest t
             done;
             Some slot
@@ -230,19 +252,32 @@ module Cache = struct
      just used is the one a bounded cache should keep. An exact miss
      falls through to the horizon range query, so [mem] and [find]
      agree on what is answerable without a build. *)
-  let lookup t ~params ~horizon kind =
-    match Hashtbl.find_opt t.store (key ~params ~horizon kind) with
+  let lookup t k =
+    match Key_table.find_opt t.store k with
     | Some slot ->
         touch t slot;
         Some slot
-    | None -> materialize_view t ~params ~horizon kind
+    | None -> materialize_view t k
 
-  let mem t ~params ~horizon kind =
-    locked t (fun () -> lookup t ~params ~horizon kind <> None)
+  let mem t k = locked t (fun () -> Option.is_some (lookup t k))
 
   let find t ~params ~horizon kind =
     locked t (fun () ->
-        Option.map (fun slot -> slot.table) (lookup t ~params ~horizon kind))
+        Option.map (fun slot -> slot.table) (lookup t (key ~params ~horizon kind)))
+
+  (* The membership test and hit count of one ensure, under one lock:
+     every kind answerable without a build scores a hit; the rest come
+     back, in order, for the caller to build. *)
+  let claim t ~params ~horizon kinds =
+    locked t (fun () ->
+        List.filter
+          (fun kind ->
+            match lookup t (key ~params ~horizon kind) with
+            | Some _ ->
+                t.hits <- t.hits + 1;
+                false
+            | None -> true)
+          kinds)
 
   (* The build calls replicate what the pre-registry runner did per
      C block, so the tables — and therefore the figures — are
@@ -268,18 +303,18 @@ module Cache = struct
         let k = key ~params ~horizon kind in
         (* A replace (two racing builders of the same key) must not
            double-charge the bytes. *)
-        (match Hashtbl.find_opt t.store k with
+        (match Key_table.find_opt t.store k with
         | Some old -> t.resident <- t.resident - old.size
         | None -> ());
-        let slot = new_slot t ~params ~horizon kind table in
-        Hashtbl.replace t.store k slot;
+        let slot = new_slot t table in
+        Key_table.replace t.store k slot;
         t.builds <- t.builds + 1;
         t.resident <- t.resident + slot.size;
         (* Shed least-recently-used entries until back under the bound,
            but never the entry just inserted (it holds the newest stamp
            and the [> 1] guard keeps it when it alone exceeds the byte
            bound — a lone oversized table must stay answerable). *)
-        while over_bound t && Hashtbl.length t.store > 1 do
+        while over_bound t && Key_table.length t.store > 1 do
           evict_oldest t
         done)
 end
@@ -686,10 +721,11 @@ let base_entry_of strategy =
 let ensure_one cache ~params ~horizon ~dist strategy =
   List.iter
     (fun kind ->
-      if Cache.mem cache ~params ~horizon kind then Cache.record_hits cache 1
-      else
-        Cache.insert cache ~params ~horizon kind
-          (Cache.build ~params ~horizon kind))
+      match Cache.claim cache ~params ~horizon [ kind ] with
+      | [] -> ()
+      | _ ->
+          Cache.insert cache ~params ~horizon kind
+            (Cache.build ~params ~horizon kind))
     ((base_entry_of strategy).requires ~dist strategy)
 
 (* Wrap a compiled base policy so every platform change recompiles it
@@ -835,13 +871,9 @@ let ensure ?pool cache ~params ~horizon ~dist strategies =
     List.sort_uniq compare
       (List.concat_map (fun s -> requires ~dist s) strategies)
   in
-  let missing, present =
-    List.partition (fun k -> not (Cache.mem cache ~params ~horizon k)) wanted
-  in
-  Cache.record_hits cache (List.length present);
-  match missing with
+  match Cache.claim cache ~params ~horizon wanted with
   | [] -> ()
-  | _ ->
+  | missing ->
       let kinds = Array.of_list missing in
       let tables =
         match pool with
@@ -867,24 +899,23 @@ let warm_up ?pool cache points =
   (* Collect the distinct table keys the whole campaign will need, in
      first-seen order (deterministic for a fixed spec list), keeping
      only the ones the cache does not already hold. Keys dedup through
-     the same canonical rendering the cache itself uses, so a table
-     shared by two figures is collected once. *)
-  let seen = Hashtbl.create 32 in
+     the same key table the cache itself uses, so a table shared by two
+     figures is collected once. *)
+  let seen = Cache.Key_table.create 32 in
   let jobs = ref [] in
   List.iter
     (fun wp ->
       List.iter
         (fun kind ->
           let k = Cache.key ~params:wp.wp_params ~horizon:wp.wp_horizon kind in
-          if not (Hashtbl.mem seen k) then begin
-            Hashtbl.add seen k ();
-            if not (Cache.mem cache ~params:wp.wp_params ~horizon:wp.wp_horizon kind)
-            then jobs := (wp.wp_params, wp.wp_horizon, kind) :: !jobs
+          if not (Cache.Key_table.mem seen k) then begin
+            Cache.Key_table.add seen k ();
+            if not (Cache.mem cache k) then jobs := k :: !jobs
           end)
         (List.concat_map (fun s -> requires ~dist:wp.wp_dist s) wp.wp_strategies))
     points;
   let jobs = Array.of_list (List.rev !jobs) in
-  let build (params, horizon, kind) = Cache.build ~params ~horizon kind in
+  let build { Cache.params; horizon; kind } = Cache.build ~params ~horizon kind in
   let tables =
     match pool with
     | Some pool -> Parallel.Pool.map pool jobs ~f:build
@@ -895,7 +926,7 @@ let warm_up ?pool cache points =
      {!ensure} calls will count their (now guaranteed) hits. *)
   Array.iteri
     (fun i table ->
-      let params, horizon, kind = jobs.(i) in
+      let { Cache.params; horizon; kind } = jobs.(i) in
       Cache.insert cache ~params ~horizon kind table)
     tables;
   Array.length jobs

@@ -10,8 +10,9 @@
 
     Compilation is backed by a campaign-wide {!Cache} of the expensive
     numerical tables ({!Core.Threshold}, {!Core.Dp}, {!Core.Optimal},
-    {!Core.Dp_renewal}), keyed by [(params, horizon, quantum, kind)] so
-    each table is built at most once per campaign no matter how many
+    {!Core.Dp_renewal}), keyed by [(params, horizon, kind)] — the kind
+    carrying the quantum and, for renewal tables, the IAT law — so each
+    table is built at most once per campaign no matter how many
     sub-plots, figures or strategies request it. *)
 
 module Cache : sig
@@ -52,6 +53,20 @@ module Cache : sig
             failure laws must not share it. *)
 
   val pp_kind : Format.formatter -> kind -> unit
+
+  type key = { params : Fault.Params.t; horizon : float; kind : kind }
+  (** The identity of one table. Keys compare by float bits: two keys
+      are equal exactly when every float in them (the four params, the
+      horizon, the quantum and the distribution parameters) is the same
+      IEEE double, so [0.0] and [-0.0] are distinct keys and a value
+      computed two ways to the same bits is the same key. Hashing and
+      comparing a key allocates nothing. *)
+
+  val key : params:Fault.Params.t -> horizon:float -> kind -> key
+
+  module Key_table : Hashtbl.S with type key = key
+  (** Hash tables over {!type-key}: the cache's own store, reusable by
+      callers that memoize per table (the serve batch memo). *)
 
   val create : ?max_tables:int -> ?max_bytes:int -> unit -> t
   (** Unbounded unless a bound is given. [max_tables] caps the resident

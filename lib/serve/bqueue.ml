@@ -16,9 +16,7 @@ let create ~capacity =
     closed = false;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 let try_push t x =
   locked t (fun () ->

@@ -124,14 +124,18 @@ let handle_payload t payload =
    per member, in order, so a batched timeout drill behaves exactly
    like a sequential one. *)
 let handle_batch t requests =
-  let memo = ref [] in
+  let module Cache = Experiments.Strategy.Cache in
+  let memo = Cache.Key_table.create 16 in
   let fetch q =
-    let key = (q.Protocol.params, q.Protocol.horizon, q.Protocol.quantum) in
-    match List.assoc_opt key !memo with
+    let key =
+      Cache.key ~params:q.Protocol.params ~horizon:q.Protocol.horizon
+        (Cache.Dp { quantum = q.Protocol.quantum })
+    in
+    match Cache.Key_table.find_opt memo key with
     | Some r -> r
     | None ->
         let r = fetch_table t q in
-        memo := (key, r) :: !memo;
+        Cache.Key_table.add memo key r;
         r
   in
   List.map

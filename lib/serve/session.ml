@@ -30,9 +30,7 @@ let create ~capacity =
     evicted = 0;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 let touch t entry =
   t.tick <- t.tick + 1;

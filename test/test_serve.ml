@@ -1012,6 +1012,34 @@ let test_handler_batch_shares_table () =
       | Error _ -> ())
     (List.combine reqs replies)
 
+(* Allocation budget of a warm fetch: with the table resident, a query
+   costs one keyed cache lookup for the ensure, one for the table read,
+   and the small answer records. About 115 words per query on x86-64
+   OCaml 5.1 (the ensure's strategy list and closures, two cache keys,
+   the reply); a cache key rendered to a string instead costs ~700. The
+   256-word budget leaves twice the measured cost as margin. Native code
+   only: bytecode boxes every float. *)
+let test_handler_warm_fetch_allocation_budget () =
+  if Sys.backend_type = Sys.Native then begin
+    let cache = Strategy.Cache.create () in
+    let h = Handler.create ~cache () in
+    let req = Protocol.Query (query ~tleft:320.0 ()) in
+    (match Handler.handle h req with
+    | Protocol.Answer _ -> ()
+    | r -> Alcotest.failf "cold query answered %s" (Protocol.render_response r));
+    let runs = 1000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to runs do
+      ignore (Sys.opaque_identity (Handler.handle h req))
+    done;
+    let per_query = (Gc.minor_words () -. w0) /. float_of_int runs in
+    Alcotest.(check int) "one build" 1 (Strategy.Cache.builds cache);
+    Alcotest.(check int) "every warm query is one hit" runs
+      (Strategy.Cache.hits cache);
+    if per_query > 256.0 then
+      Alcotest.failf "%.0f words per warm query, budget 256" per_query
+  end
+
 (* In-process daemon *)
 
 let daemon_config ~socket_path =
@@ -1180,6 +1208,8 @@ let () =
             test_handler_session_requests_need_daemon;
           Alcotest.test_case "batch shares the table" `Quick
             test_handler_batch_shares_table;
+          Alcotest.test_case "warm fetch allocation budget" `Quick
+            test_handler_warm_fetch_allocation_budget;
         ] );
       ( "daemon",
         [

@@ -538,6 +538,92 @@ let test_horizon_sweep_builds_once () =
     (Strategy.Cache.resident_bytes cache);
   Alcotest.(check int) "still one build" 1 (Strategy.Cache.builds cache)
 
+(* Key identity: a cache key compares its floats by IEEE bits, and its
+   kind by constructor, so exactly the tables that are the same table
+   share a slot. *)
+
+let key_counts cache =
+  ( Strategy.Cache.builds cache,
+    Strategy.Cache.hits cache,
+    Strategy.Cache.resident_tables cache )
+
+let check_counts what ~builds ~hits ~resident cache =
+  Alcotest.(check (triple int int int))
+    (what ^ ": builds, hits, resident tables")
+    (builds, hits, resident) (key_counts cache)
+
+let test_key_next_float_separates () =
+  let cache = Strategy.Cache.create () in
+  let at c =
+    Strategy.ensure cache
+      ~params:(Fault.Params.paper ~lambda:0.01 ~c ~d:0.0)
+      ~horizon:50.0 ~dist:lru_dist lru_specs
+  in
+  at 10.0;
+  at (Float.succ 10.0);
+  check_counts "C = 10 and its next float" ~builds:2 ~hits:0 ~resident:2 cache;
+  at 10.0;
+  check_counts "C = 10 again" ~builds:2 ~hits:1 ~resident:2 cache;
+  (* The bit rule keeps the one distinction float equality drops. *)
+  at 0.0;
+  at (-0.0);
+  check_counts "C = 0 and C = -0" ~builds:4 ~hits:1 ~resident:4 cache
+
+let test_key_kinds_separate () =
+  let params = lru_params 0.01 in
+  let cache = Strategy.Cache.create () in
+  let pair =
+    [
+      Spec.Dynamic_programming { quantum = 0.5 };
+      Spec.Optimal_unrestricted { quantum = 0.5 };
+    ]
+  in
+  Strategy.ensure cache ~params ~horizon:50.0 ~dist:lru_dist pair;
+  check_counts "dp and optimal at u = 0.5" ~builds:2 ~hits:0 ~resident:2
+    cache;
+  Strategy.ensure cache ~params ~horizon:50.0 ~dist:lru_dist pair;
+  check_counts "both resident" ~builds:2 ~hits:2 ~resident:2 cache;
+  List.iter
+    (fun s ->
+      match Strategy.compile cache ~params ~horizon:50.0 ~dist:lru_dist s with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Strategy.error_message e))
+    pair;
+  (* Same quantum, same two floats, different failure law: the
+     constructor alone must keep the renewal tables apart. *)
+  let renewal = [ Spec.Renewal_dp { quantum = 1.0 } ] in
+  let weibull = Fault.Trace.Weibull { shape = 0.5; scale = 2.0 } in
+  let lognormal = Fault.Trace.Lognormal { mu = 0.5; sigma = 2.0 } in
+  Strategy.ensure cache ~params ~horizon:50.0 ~dist:weibull renewal;
+  Strategy.ensure cache ~params ~horizon:50.0 ~dist:lognormal renewal;
+  check_counts "renewal under two laws" ~builds:4 ~hits:2 ~resident:4 cache;
+  Strategy.ensure cache ~params ~horizon:50.0 ~dist:weibull renewal;
+  check_counts "weibull renewal again" ~builds:4 ~hits:3 ~resident:4 cache
+
+let test_key_horizon_bits () =
+  let params = lru_params 0.01 in
+  let cache = Strategy.Cache.create () in
+  let at horizon =
+    Strategy.ensure cache ~params ~horizon ~dist:lru_dist lru_specs
+  in
+  at 50.0;
+  (* The same double reached two other ways is an exact hit: no view
+     slot is materialised. *)
+  at (100.0 /. 2.0);
+  at (float_of_string "5e1");
+  check_counts "one horizon, three spellings" ~builds:1 ~hits:2 ~resident:1
+    cache;
+  (* A shorter horizon is a different key, answered by a prefix view of
+     the resident build: a hit and a new slot, never a build. *)
+  at 30.0;
+  check_counts "shorter horizon" ~builds:1 ~hits:3 ~resident:2 cache;
+  Alcotest.(check bool) "the shorter table is a view" true
+    (Core.Dp.is_view (dp_of cache 0.01 ~horizon:30.0));
+  at (Float.pred 50.0);
+  check_counts "one ulp shorter" ~builds:1 ~hits:4 ~resident:3 cache;
+  at 30.0;
+  check_counts "the view is an exact hit" ~builds:1 ~hits:5 ~resident:3 cache
+
 let test_lru_validation () =
   List.iter
     (fun thunk ->
@@ -642,6 +728,13 @@ let () =
           Alcotest.test_case "rebuild bit-identical" `Quick
             test_lru_rebuild_bit_identical;
           Alcotest.test_case "bound validation" `Quick test_lru_validation;
+        ] );
+      ( "key",
+        [
+          Alcotest.test_case "next float separates" `Quick
+            test_key_next_float_separates;
+          Alcotest.test_case "kinds separate" `Quick test_key_kinds_separate;
+          Alcotest.test_case "horizon by bits" `Quick test_key_horizon_bits;
         ] );
       ( "seeds",
         [ Alcotest.test_case "pairwise distinct" `Quick test_seed_distinctness ] );
