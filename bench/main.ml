@@ -499,11 +499,16 @@ let expect_answer = function
   | Serve.Protocol.Answer _ -> ()
   | r -> serve_fail "query failed: %s" (Serve.Protocol.render_response r)
 
-(* Handler mode: its own cache, so the cold pass is genuinely cold. *)
+(* Handler mode: its own cache, so the cold pass is genuinely cold. The
+   per-query samples feed the latency percentiles only: a warm query
+   costs about as much as the two clock reads around it, so [warm_qps]
+   comes from a separate block of warm rounds timed as a whole. *)
 let serve_handler_entry () =
   let cache = Experiments.Strategy.Cache.create () in
   let handler = Serve.Handler.create ~cache () in
   let warm_rounds = 8 in
+  let requests = Array.init serve_platforms serve_request in
+  let n_warm = warm_rounds * serve_platforms in
   let timed req =
     let t0 = Unix.gettimeofday () in
     let resp = Serve.Handler.handle handler req in
@@ -511,18 +516,21 @@ let serve_handler_entry () =
     expect_answer resp;
     dt
   in
-  let cold = Array.init serve_platforms (fun i -> timed (serve_request i)) in
+  let cold = Array.map timed requests in
   let warm =
-    Array.init (warm_rounds * serve_platforms) (fun j ->
-        timed (serve_request (j mod serve_platforms)))
+    Array.init n_warm (fun j -> timed requests.(j mod serve_platforms))
   in
-  let warm_elapsed = Array.fold_left ( +. ) 0.0 warm in
+  let t0 = Unix.gettimeofday () in
+  for j = 0 to n_warm - 1 do
+    expect_answer
+      (Serve.Handler.handle handler requests.(j mod serve_platforms))
+  done;
+  let warm_qps = float_of_int n_warm /. (Unix.gettimeofday () -. t0) in
   Array.sort compare cold;
   Array.sort compare warm;
   let ms t = t *. 1e3 in
   let cold_p50 = percentile cold 0.5 and cold_p99 = percentile cold 0.99 in
   let warm_p50 = percentile warm 0.5 and warm_p99 = percentile warm 0.99 in
-  let warm_qps = float_of_int (Array.length warm) /. warm_elapsed in
   let speedup = cold_p99 /. warm_p99 in
   let entry =
     Printf.sprintf
@@ -780,54 +788,64 @@ let run_serve_json path =
   :: List.map (fun (name, runs) -> (name, median runs)) modes
 
 (* ------------------------------------------------------------------ *)
-(* Baseline regression gate (--baseline, --serve-baseline)
+(* Baseline regression gate (--baseline, --dp-baseline, --serve-baseline)
 
-   Reads the last value of a key from a committed trajectory file
-   (bench/BENCH_eval.json, bench/BENCH_serve.json) and fails the run
-   when the fresh measurement falls below 70% of it. The generous
-   margin absorbs shared-runner noise while still catching
-   step-function regressions. *)
+   Reads the last comparable value of a key from a committed trajectory
+   file (bench/BENCH_eval.json, bench/BENCH_dp.json,
+   bench/BENCH_serve.json) and fails the run when the fresh measurement
+   falls below 70% of it. The generous margin absorbs shared-runner
+   noise while still catching step-function regressions. *)
 
-let last_json_float ~key:name path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
+(* A trajectory is a JSON array of flat objects, newest last, so
+   splitting it at each '}' yields one chunk per entry. *)
+let trajectory_entries path =
+  String.split_on_char '}' (In_channel.with_open_bin path In_channel.input_all)
+
+(* The value after ["name":] in one entry, read by [parse]. *)
+let field parse entry name =
   let key = Printf.sprintf "%S:" name in
-  let klen = String.length key in
-  let rec last_from pos acc =
-    match String.index_from_opt body pos '"' with
-    | None -> acc
-    | Some q ->
-        if q + klen <= len && String.sub body q klen = key then
-          let rest = String.sub body (q + klen) (min 64 (len - q - klen)) in
-          match Scanf.sscanf_opt rest " %f" (fun v -> v) with
-          | Some v -> last_from (q + klen) (Some v)
-          | None -> last_from (q + 1) acc
-        else last_from (q + 1) acc
+  let klen = String.length key and elen = String.length entry in
+  let rec find pos =
+    match String.index_from_opt entry pos '"' with
+    | None -> None
+    | Some q when q + klen <= elen && String.sub entry q klen = key -> (
+        let rest = String.sub entry (q + klen) (min 128 (elen - q - klen)) in
+        match parse rest with Some v -> Some v | None -> find (q + 1))
+    | Some q -> find (q + 1)
   in
-  last_from 0 None
+  find 0
 
-let check_floor ~path ~key ~unit fresh =
-  match last_json_float ~key path with
-  | None ->
-      Printf.eprintf "baseline %s holds no %s entry\n" path key;
-      exit 1
-  | Some baseline ->
-      let floor = 0.7 *. baseline in
-      if fresh < floor then begin
-        Printf.eprintf
-          "PERF REGRESSION: %.1f %s is below 70%% of the committed baseline \
-           %.1f (floor %.1f)\n"
-          fresh unit baseline floor;
-        exit 1
-      end
-      else
-        Printf.printf "baseline check: %.1f %s >= 70%% of committed %.1f — ok\n"
-          fresh unit baseline
+let float_field = field (fun s -> Scanf.sscanf_opt s " %f" Fun.id)
+let string_field = field (fun s -> Scanf.sscanf_opt s " %S" Fun.id)
+
+(* [key] of the last entry that has it and that [select] accepts. *)
+let last_baseline ?(select = fun _ -> true) entries key =
+  List.fold_left
+    (fun acc entry ->
+      match float_field entry key with
+      | Some v when select entry -> Some v
+      | _ -> acc)
+    None entries
+
+let check_floor ~unit ~baseline fresh =
+  let floor = 0.7 *. baseline in
+  if fresh < floor then begin
+    Printf.eprintf
+      "PERF REGRESSION: %.1f %s is below 70%% of the committed baseline %.1f \
+       (floor %.1f)\n"
+      fresh unit baseline floor;
+    exit 1
+  end
+  else
+    Printf.printf "baseline check: %.1f %s >= 70%% of committed %.1f — ok\n"
+      fresh unit baseline
 
 let check_baseline ~path ~points_per_sec =
-  check_floor ~path ~key:"points_per_sec" ~unit:"points/s" points_per_sec
+  match last_baseline (trajectory_entries path) "points_per_sec" with
+  | None ->
+      Printf.eprintf "baseline %s holds no points_per_sec entry\n" path;
+      exit 1
+  | Some baseline -> check_floor ~unit:"points/s" ~baseline points_per_sec
 
 (* The serve trajectory is only comparable per mode: a sequential
    unix-text figure says nothing about batched TCP throughput (and vice
@@ -837,89 +855,22 @@ let check_baseline ~path ~points_per_sec =
    is a note, not a failure — the first entry of a new mode has no
    peer yet. *)
 let check_serve_baseline ~path ~modes =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  let float_field chunk name =
-    let key = Printf.sprintf "%S:" name in
-    let klen = String.length key in
-    let clen = String.length chunk in
-    let rec find pos =
-      match String.index_from_opt chunk pos '"' with
-      | None -> None
-      | Some q ->
-          if q + klen <= clen && String.sub chunk q klen = key then
-            match
-              Scanf.sscanf_opt
-                (String.sub chunk (q + klen) (min 64 (clen - q - klen)))
-                " %f"
-                (fun v -> v)
-            with
-            | Some v -> Some v
-            | None -> find (q + 1)
-          else find (q + 1)
-    in
-    find 0
-  in
-  let string_field chunk name =
-    let key = Printf.sprintf "%S:" name in
-    let klen = String.length key in
-    let clen = String.length chunk in
-    let rec find pos =
-      match String.index_from_opt chunk pos '"' with
-      | None -> None
-      | Some q ->
-          if q + klen <= clen && String.sub chunk q klen = key then
-            match
-              Scanf.sscanf_opt
-                (String.sub chunk (q + klen) (min 128 (clen - q - klen)))
-                " %S"
-                (fun v -> v)
-            with
-            | Some v -> Some v
-            | None -> find (q + 1)
-          else find (q + 1)
-    in
-    find 0
-  in
-  let baseline_for mode =
-    List.fold_left
-      (fun acc chunk ->
-        match float_field chunk "warm_qps" with
-        | None -> acc
-        | Some v ->
-            let entry_mode =
-              match string_field chunk "mode" with
-              | Some m -> m
-              | None -> "handler"
-            in
-            if String.equal entry_mode mode then Some v else acc)
-      None
-      (String.split_on_char '}' body)
-  in
+  let entries = trajectory_entries path in
   List.iter
     (fun (mode, qps) ->
-      match baseline_for mode with
+      let same_mode entry =
+        Option.value (string_field entry "mode") ~default:"handler" = mode
+      in
+      match last_baseline ~select:same_mode entries "warm_qps" with
       | None ->
           Printf.printf
             "baseline check: %s holds no %s serve entry — nothing to gate \
              against\n"
             path mode
       | Some baseline ->
-          let floor = 0.7 *. baseline in
-          if qps < floor then begin
-            Printf.eprintf
-              "PERF REGRESSION: %.1f warm queries/s (%s) is below 70%% of \
-               the committed baseline %.1f (floor %.1f)\n"
-              qps mode baseline floor;
-            exit 1
-          end
-          else
-            Printf.printf
-              "baseline check: %.1f warm queries/s (%s) >= 70%% of committed \
-               %.1f — ok\n"
-              qps mode baseline)
+          check_floor
+            ~unit:(Printf.sprintf "warm queries/s (%s)" mode)
+            ~baseline qps)
     modes
 
 (* Builds are single-domain, so the gate compares against the last
@@ -928,60 +879,18 @@ let check_serve_baseline ~path ~modes =
    thing and are skipped. Entries without the field are single-domain.
    Finding no entry is a note, not a failure. *)
 let check_dp_baseline ~path ~cells_per_sec =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  let field chunk name =
-    let key = Printf.sprintf "%S:" name in
-    let klen = String.length key in
-    let clen = String.length chunk in
-    let rec find pos =
-      match String.index_from_opt chunk pos '"' with
-      | None -> None
-      | Some q ->
-          if q + klen <= clen && String.sub chunk q klen = key then
-            match
-              Scanf.sscanf_opt
-                (String.sub chunk (q + klen) (min 64 (clen - q - klen)))
-                " %f"
-                (fun v -> v)
-            with
-            | Some v -> Some v
-            | None -> find (q + 1)
-          else find (q + 1)
-    in
-    find 0
+  let serial entry =
+    match float_field entry "jobs" with Some j -> j <= 1.0 | None -> true
   in
-  let baseline =
-    List.fold_left
-      (fun acc chunk ->
-        match (field chunk "cells_per_sec", field chunk "jobs") with
-        | None, _ -> acc
-        | Some _, Some jobs when jobs > 1.0 -> acc
-        | Some v, _ -> Some v)
-      None
-      (String.split_on_char '}' body)
-  in
-  match baseline with
+  match
+    last_baseline ~select:serial (trajectory_entries path) "cells_per_sec"
+  with
   | None ->
       Printf.printf
         "baseline check: %s holds no single-domain dp entry — nothing to \
          gate against\n"
         path
-  | Some baseline ->
-      let floor = 0.7 *. baseline in
-      if cells_per_sec < floor then begin
-        Printf.eprintf
-          "PERF REGRESSION: %.1f cells/s is below 70%% of the committed \
-           baseline %.1f (floor %.1f)\n"
-          cells_per_sec baseline floor;
-        exit 1
-      end
-      else
-        Printf.printf
-          "baseline check: %.1f cells/s >= 70%% of committed %.1f — ok\n"
-          cells_per_sec baseline
+  | Some baseline -> check_floor ~unit:"cells/s" ~baseline cells_per_sec
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the kernels                             *)

@@ -71,15 +71,30 @@ let entry_of_point ~c ~strategy (p : point) =
     mean_checkpoints = p.mean_checkpoints;
   }
 
+(* A shard owns one residue class of the task-key space. Task keys are
+   stable across runs, so the same point always lands on the same shard
+   and the shards' ledgers partition the grid with no overlap. *)
+let owns shard key =
+  match shard with
+  | None -> true
+  | Some (index, count) -> key mod count = index
+
+(* Journaled points settle as [Ok]; the rest as deadline misses. *)
+let settle cached =
+  Array.map
+    (function Some p -> Ok p | None -> Error Robust.Deadline.Deadline_exceeded)
+    cached
+
 (* One C block's Monte-Carlo phase: build the shared tables, then sweep
-   every uncached (strategy, t) task through the selected backend with
-   per-task fault isolation. Each completed point is committed to the
-   journal (if any) as soon as it settles — from inside the worker on the
-   [Domains] backend, from the supervising parent on [Processes] (a
-   forked child's journal writes would die with its copy-on-write heap)
-   — so an interruption loses at most the points still in flight. *)
-let sweep ~pool ~backend ~deadline ~progress ~journal ~ledger ~shard ~retry
-    ~chaos ~cache ~spec ~dist ~params ~c ~grid ~horizon_max ~tasks ~cached
+   every [todo] task (the uncached ones this shard owns) through the
+   selected backend with per-task fault isolation. Each completed point
+   is committed to the journal (if any) as soon as it settles — from
+   inside the worker on the [Domains] backend, from the supervising
+   parent on [Processes] (a forked child's journal writes would die with
+   its copy-on-write heap) — so an interruption loses at most the points
+   still in flight. *)
+let sweep ~pool ~backend ~deadline ~progress ~journal ~ledger ~retry ~chaos
+    ~cache ~spec ~dist ~params ~c ~grid ~horizon_max ~tasks ~cached ~todo
     ~base =
   (* A malleable spec draws traces from the node-level model instead of
      the aggregate distribution: each trace then carries its own
@@ -166,23 +181,6 @@ let sweep ~pool ~backend ~deadline ~progress ~journal ~ledger ~shard ~retry
       mean_checkpoints = r.Sim.Runner.mean_checkpoints;
     }
   in
-  (* Cached points never travel through a backend: they are free, so a
-     deadline that expires mid-block cannot cancel them, and they must
-     not be journaled a second time. A shard keeps only its residue
-     class of the task-key space — task keys are stable across runs, so
-     the same point always lands on the same shard and the shards'
-     ledgers partition the grid with no overlap. *)
-  let mine i =
-    match shard with
-    | None -> true
-    | Some (index, count) -> (base + i) mod count = index
-  in
-  let todo =
-    Array.of_list
-      (List.filter
-         (fun i -> cached.(i) = None && mine i)
-         (List.init (Array.length tasks) Fun.id))
-  in
   (* The task key feeds chaos injection and retry jitter; the evaluation
      itself is a pure function of (i, task), so a retried attempt
      reproduces the fault-free value exactly. [dispatch_attempt] counts
@@ -242,13 +240,7 @@ let sweep ~pool ~backend ~deadline ~progress ~journal ~ledger ~shard ~retry
           ~on_result:(fun j p -> commit todo.(j) p)
           ~f:(fun ~attempt _j i -> compute ~dispatch_attempt:attempt i)
   in
-  let outcomes =
-    Array.map
-      (function
-        | Some p -> Ok p
-        | None -> Error Robust.Deadline.Deadline_exceeded)
-      cached
-  in
+  let outcomes = settle cached in
   Array.iteri (fun j i -> outcomes.(i) <- computed.(j)) todo;
   outcomes
 
@@ -316,12 +308,7 @@ let run ?pool ?(backend = Domains) ?(deadline = Robust.Deadline.unlimited)
                 (fun ti ->
                   let t = grid.(ti) in
                   let i = (si * Array.length grid) + ti in
-                  let mine =
-                    match shard with
-                    | None -> true
-                    | Some (index, count) -> (base + i) mod count = index
-                  in
-                  (not mine)
+                  (not (owns shard (base + i)))
                   || journaled journal ~c ~name ~t
                   || journaled ledger ~c ~name ~t)
                 (Array.init (Array.length grid) Fun.id))
@@ -415,12 +402,22 @@ let run ?pool ?(backend = Domains) ?(deadline = Robust.Deadline.unlimited)
                   (Printf.sprintf
                      "[%s] C = %g: %d/%d points resumed from journal"
                      spec.Spec.id c n_cached (Array.length tasks));
+              (* Cached points never travel through a backend: they are
+                 free, so a deadline that expires mid-block cannot cancel
+                 them, and they must not be journaled a second time. *)
+              let todo =
+                Array.of_list
+                  (List.filter
+                     (fun i -> cached.(i) = None && owns shard (base + i))
+                     (List.init (Array.length tasks) Fun.id))
+              in
               let outcomes =
-                if n_cached = Array.length tasks then
-                  (* Fully journaled: skip trace generation and table
-                     builds entirely (even past the deadline — cached
-                     points are free). *)
-                  Array.map (fun o -> Ok (Option.get o)) cached
+                if Array.length todo = 0 then
+                  (* Fully journaled, or what is left belongs to other
+                     shards: skip trace generation and table builds
+                     entirely (even past the deadline — cached points are
+                     free). *)
+                  settle cached
                 else if Robust.Deadline.expired deadline then begin
                   (* The budget ran out before this block: serve what the
                      journal has and mark the rest missed, without paying
@@ -429,16 +426,12 @@ let run ?pool ?(backend = Domains) ?(deadline = Robust.Deadline.unlimited)
                     (Printf.sprintf
                        "[%s] C = %g: deadline exhausted, skipping block"
                        spec.Spec.id c);
-                  Array.map
-                    (function
-                      | Some p -> Ok p
-                      | None -> Error Robust.Deadline.Deadline_exceeded)
-                    cached
+                  settle cached
                 end
                 else
                   sweep ~pool ~backend ~deadline ~progress ~journal ~ledger
-                    ~shard ~retry ~chaos ~cache ~spec ~dist ~params ~c ~grid
-                    ~horizon_max ~tasks ~cached ~base
+                    ~retry ~chaos ~cache ~spec ~dist ~params ~c ~grid
+                    ~horizon_max ~tasks ~cached ~todo ~base
               in
               (match (match ledger with Some _ -> ledger | None -> journal) with
               | Some j -> Robust.Journal.sync j

@@ -10,7 +10,6 @@ type t = {
   workers : int;
   task_timeout : float option;
   attempts : int;
-  heartbeat : float;
   mutable closed : bool;
 }
 
@@ -39,7 +38,10 @@ let () =
 
 let default_workers () = min 8 (Domain.recommended_domain_count ())
 
-let create ?workers ?task_timeout ?(attempts = 1) ?(heartbeat = 0.05) () =
+(* Longest supervisor sleep between liveness/deadline polls. *)
+let heartbeat = 0.05
+
+let create ?workers ?task_timeout ?(attempts = 1) () =
   let workers =
     match workers with
     | None -> default_workers ()
@@ -51,8 +53,7 @@ let create ?workers ?task_timeout ?(attempts = 1) ?(heartbeat = 0.05) () =
   | Some l when l <= 0.0 -> invalid_arg "Proc_pool.create: task_timeout <= 0"
   | _ -> ());
   if attempts < 1 then invalid_arg "Proc_pool.create: attempts < 1";
-  if heartbeat <= 0.0 then invalid_arg "Proc_pool.create: heartbeat <= 0";
-  { workers; task_timeout; attempts; heartbeat; closed = false }
+  { workers; task_timeout; attempts; closed = false }
 
 let workers t = t.workers
 
@@ -266,7 +267,7 @@ let try_mapi t ?(should_stop = fun () -> false) ?on_result ~f xs =
     in
     let select_timeout () =
       match t.task_timeout with
-      | None -> t.heartbeat
+      | None -> heartbeat
       | Some limit ->
           let now = Unix.gettimeofday () in
           let next =
@@ -276,9 +277,9 @@ let try_mapi t ?(should_stop = fun () -> false) ?on_result ~f xs =
                 | Some { job = Some (_, _, since); _ } ->
                     Float.min acc (since +. limit -. now)
                 | _ -> acc)
-              t.heartbeat ws
+              heartbeat ws
           in
-          Float.max 0.0 (Float.min next t.heartbeat)
+          Float.max 0.0 (Float.min next heartbeat)
     in
     (* A worker killed mid-write must not SIGPIPE the parent; dispatch
        writes surface EPIPE instead and take the respawn path. *)

@@ -57,7 +57,6 @@ val create :
   ?workers:int ->
   ?task_timeout:float ->
   ?attempts:int ->
-  ?heartbeat:float ->
   unit ->
   t
 (** [workers] (default: cores, capped to 8) processes are forked per
@@ -67,8 +66,7 @@ val create :
     backoff. [attempts] (default 1) is the dispatch budget for tasks
     whose worker hung or crashed; task-level exceptions are {e not}
     re-dispatched (compose with [Robust.Retry] inside [f] for those).
-    [heartbeat] (default 0.05 s) bounds how long the supervisor sleeps
-    between liveness/deadline polls. *)
+    The supervisor polls liveness and deadlines at least every 0.05 s. *)
 
 val workers : t -> int
 

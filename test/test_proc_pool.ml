@@ -179,7 +179,6 @@ let test_validation () =
       (fun () -> P.create ~workers:0 ());
       (fun () -> P.create ~task_timeout:0.0 ());
       (fun () -> P.create ~attempts:0 ());
-      (fun () -> P.create ~heartbeat:0.0 ());
     ];
   let pool = P.create ~workers:1 () in
   P.shutdown pool;

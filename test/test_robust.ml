@@ -787,6 +787,45 @@ let test_resume_skips_journaled_points () =
           in
           check_same_result first resumed))
 
+let test_shard_resume_builds_nothing_it_does_not_own () =
+  (* A resumed shard whose owned points are all in its ledger must settle
+     every block without generating traces or building tables, even
+     though the other shard's points are still missing. *)
+  let spec =
+    {
+      tiny_spec with
+      Experiments.Spec.strategies =
+        [
+          Experiments.Spec.Young_daly;
+          Experiments.Spec.Dynamic_programming { quantum = 5.0 };
+        ];
+    }
+  in
+  Parallel.Pool.with_pool (fun pool ->
+      with_temp (fun path ->
+          let key = Experiments.Spec.fingerprint spec in
+          let run () =
+            let cache = Experiments.Strategy.Cache.create () in
+            let ledger = Journal.open_ ~path ~key () in
+            let r =
+              Fun.protect
+                ~finally:(fun () -> Journal.close ledger)
+                (fun () ->
+                  Experiments.Runner.run ~pool ~ledger ~shard:(0, 2) ~cache
+                    spec)
+            in
+            (r, Experiments.Strategy.Cache.builds cache)
+          in
+          let first, first_builds = run () in
+          Alcotest.(check bool) "first run builds its tables" true
+            (first_builds > 0);
+          let module R = Experiments.Runner in
+          Alcotest.(check int) "other shard's points missed" 2 first.R.missed;
+          let second, second_builds = run () in
+          Alcotest.(check int) "resumed shard builds nothing" 0 second_builds;
+          Alcotest.(check int) "same misses" first.R.missed second.R.missed;
+          check_same_result first second))
+
 let test_partial_resume_completes_the_rest () =
   Parallel.Pool.with_pool (fun pool ->
       with_temp (fun path ->
@@ -1060,6 +1099,8 @@ let () =
             test_resume_skips_journaled_points;
           Alcotest.test_case "partial resume completes the rest" `Slow
             test_partial_resume_completes_the_rest;
+          Alcotest.test_case "resumed shard builds only what it owns" `Slow
+            test_shard_resume_builds_nothing_it_does_not_own;
           Alcotest.test_case "failed sweep preserves completed points" `Slow
             test_sweep_failure_preserves_completed_points;
           Alcotest.test_case "process backend matches domains" `Slow
